@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check chaos fuzz compare serve-e2e loadgen-smoke bench-json bench-compare clean
+.PHONY: all build test race vet fmt check chaos fuzz compare serve-e2e loadgen-smoke bench-smoke bench-json bench-compare clean
 
 all: check
 
@@ -25,11 +25,11 @@ chaos:
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers,
-# generator specs, edge-table freeze/iteration). `go test -fuzz` takes one
+# generator specs, edge-table freeze/iteration, Out_Table order). `go test -fuzz` takes one
 # target per run, so iterate; FUZZTIME scales the per-target budget.
 FUZZTIME ?= 10s
 fuzz:
-	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched; do \
+	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/core ./internal/metrics ./internal/movesched; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
@@ -52,6 +52,14 @@ serve-e2e:
 # self-hosted service; fails unless every job completes.
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke -o /tmp/loadgen_smoke.json
+
+# Repository benchmark smoke (the CI bench-smoke step): the perfbench unit
+# tests, then one short untraced lfr-dist run, which must exit 0 and report
+# "correct":true. Full runs: see perfbench/README.md.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
+	out="$$(bash perfbench/run.sh --workload lfr-dist --seed 1 --seconds 3 --trace 0)" && \
+		echo "$$out" && echo "$$out" | grep -q '"correct":true'
 
 # Run the exchange and level-storage benchmarks and fixed-seed end-to-end
 # solves, writing machine-readable results (micro-bench ns/op and allocs,

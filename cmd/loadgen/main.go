@@ -60,7 +60,7 @@ func main() {
 		depth   = flag.Int("queue", 64, "queue depth of the self-hosted service (ignored with -addr)")
 		ranks   = flag.Int("ranks", 2, "rank-group size of every submitted job")
 		seed    = flag.Int64("seed", 1, "mix-selection seed (per client: seed+client)")
-		mixFlag = flag.String("mix", "", "comma-separated job classes as genspec|algo pairs (default: built-in small/medium/large mix)")
+		mixFlag = flag.String("mix", "", "semicolon-separated job classes as genspec|algo pairs, e.g. 'lfr:n=2000,mu=0.3|plm;ring:k=8,s=6|seq' (default: built-in small/medium/large mix)")
 		outPath = flag.String("o", "", "write the JSON report here ('-' or empty: stdout)")
 		smoke   = flag.Bool("smoke", false, "tiny CI run: 2 clients x 2 jobs over small graphs, fail unless every job completes")
 	)
@@ -72,7 +72,10 @@ func main() {
 		mix = smokeMixes
 	}
 	if *mixFlag != "" {
-		mix = strings.Split(*mixFlag, ",")
+		var err error
+		if mix, err = parseMix(*mixFlag); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	base := *addr
@@ -114,6 +117,31 @@ func main() {
 	if *smoke {
 		fmt.Println("loadgen smoke OK")
 	}
+}
+
+// mixSep separates job classes in -mix. Generator specs use commas between
+// their parameters, so the class separator must be a character no spec or
+// algorithm name contains.
+const mixSep = ";"
+
+// parseMix splits a -mix value into its genspec|algo job classes.
+func parseMix(s string) ([]string, error) {
+	var mix []string
+	for _, class := range strings.Split(s, mixSep) {
+		class = strings.TrimSpace(class)
+		if class == "" {
+			continue
+		}
+		gen, algoName, _ := strings.Cut(class, "|")
+		if gen == "" || strings.Contains(algoName, "|") {
+			return nil, fmt.Errorf("-mix class %q: want genspec or genspec|algo", class)
+		}
+		mix = append(mix, class)
+	}
+	if len(mix) == 0 {
+		return nil, fmt.Errorf("-mix %q names no job class", s)
+	}
+	return mix, nil
 }
 
 // Report is the emitted JSON document.

@@ -61,7 +61,9 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) (*Result, 
 // community ids share the global id space [0,n); this rank owns ids
 // congruent to its rank mod P and indexes them densely by id/P ("local
 // index"). In_ and Out_ tables are sharded by local index so worker threads
-// scan disjoint vertex sets.
+// scan disjoint vertex sets. The In_Table is a general edgetable.Table
+// (Options.Hash, TableLayout and LoadFactor configure it); the Out_Table is
+// the flat insertion-ordered outTable of outtable.go.
 type engine struct {
 	c    *comm.Comm
 	opt  Options
@@ -70,7 +72,7 @@ type engine struct {
 	nLoc int
 
 	in  []*edgetable.Table // (src,dst) -> w, dst owned; self-loops doubled
-	out []*edgetable.Table // (u,comm)  -> w_{u->comm}, u owned
+	out []*outTable        // (u,comm)  -> w_{u->comm}, u owned
 
 	// levelStore is the read backend for the current level's frozen graph
 	// (Options.Storage): either sharded — the In_Table shards viewed as one
@@ -92,13 +94,12 @@ type engine struct {
 	allDirty     bool
 	changedComms map[uint32]struct{}
 
-	// remoteTot and remoteMembers cache Σtot and the member count for
-	// every community referenced by this rank's Out_Table entries,
+	// comms caches Σtot and the member count of every community
+	// referenced by this rank's Out_Table entries or owned vertices,
 	// refreshed by each state propagation. Member counts feed the
 	// singleton minimum-label rule that breaks symmetric swap cycles
 	// (see findBest).
-	remoteTot     *edgetable.Table
-	remoteMembers *edgetable.Table
+	comms commCache
 
 	active []bool
 	commOf []graph.V
@@ -122,6 +123,7 @@ type engine struct {
 	moveLog []moveRec
 
 	stay     []float64
+	alone    []bool // findBest scratch: vertex's community has one member
 	bestTo   []graph.V
 	bestGain []float64
 
@@ -200,33 +202,20 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		memOwn:   make([]int64, nLoc),
 		inOwn:    make([]float64, nLoc),
 		stay:     make([]float64, nLoc),
+		alone:    make([]bool, nLoc),
 		bestTo:   make([]graph.V, nLoc),
 		bestGain: make([]float64, nLoc),
 		bd:       perf.NewBreakdown(),
 	}
-	tcfg := func(capHint int) edgetable.Config {
-		return edgetable.Config{
-			Hash:       opt.Hash,
-			Layout:     opt.TableLayout,
-			LoadFactor: opt.LoadFactor,
-			Capacity:   capHint,
-		}
+	s.out = make([]*outTable, opt.Threads)
+	for t := range s.out {
+		s.out[t] = &outTable{}
 	}
-	s.in = make([]*edgetable.Table, opt.Threads)
-	s.out = make([]*edgetable.Table, opt.Threads)
-	for t := 0; t < opt.Threads; t++ {
-		s.in[t] = edgetable.New(tcfg(1024))
-		s.out[t] = edgetable.New(tcfg(1024))
-	}
-	s.sharded = edgetable.NewSharded(s.in...)
-	s.levelStore = s.sharded
 	if opt.Prune {
 		s.dirty = make([]bool, nLoc)
 		s.allDirty = true
 		s.changedComms = make(map[uint32]struct{})
 	}
-	s.remoteTot = edgetable.New(tcfg(256))
-	s.remoteMembers = edgetable.New(tcfg(256))
 	s.planes = wire.GetPlanes(c.Size())
 	s.coll = c.NewCollator()
 	s.mergeErrs = make([]error, opt.Threads)

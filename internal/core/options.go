@@ -171,11 +171,13 @@ type Options struct {
 	// set); see movesched.Ordering for the alternatives. The parallel
 	// distributed engine ignores it. Exposed as -order on cmd/louvain.
 	Order movesched.Ordering
-	// Hash selects the edge-table hash family; default Fibonacci.
+	// Hash selects the In_Table's hash family; default Fibonacci. The
+	// Out_Table is a flat insertion-ordered array with its own Fibonacci
+	// index (outtable.go) and ignores Hash, LoadFactor and TableLayout.
 	Hash hashfn.Kind
-	// LoadFactor for the edge tables; 0 means the paper's 1/4.
+	// LoadFactor for the In_Table; 0 means the paper's 1/4.
 	LoadFactor float64
-	// TableLayout for the edge tables (probing by default).
+	// TableLayout for the In_Table (probing by default).
 	TableLayout edgetable.Layout
 
 	// Storage selects the per-level read backend for the refine loop: the

@@ -18,8 +18,14 @@ import (
 // to owner(v), rebuilding the Out_Table; (2) the set of communities this
 // rank now references is sent to their owners, which reply with Σtot.
 func (s *engine) propagate() error {
-	for t := 0; t < s.opt.Threads; t++ {
-		s.out[t].Reset()
+	// A vertex has at most one Out_Table entry per in-edge, so a shard's
+	// in-edge count bounds its entries until delta propagations add more.
+	for t, o := range s.out {
+		var inEdges int64
+		for li := t; li < s.nLoc; li += s.opt.Threads {
+			inEdges += s.adjOff[li+1] - s.adjOff[li]
+		}
+		o.reset(int(inEdges))
 	}
 	if s.dirty != nil {
 		// The full rebuild replaces every Out_Table row and Σtot cache
@@ -83,13 +89,10 @@ func (s *engine) propagateDelta() error {
 		return err
 	}
 	// Extend the Σtot reference set with the newly-seen communities; the
-	// existing keys are kept, so no Out_Table rescan is needed. (Zeroing a
-	// first-seen key of an already-referenced community wipes its cached
-	// Σtot, which the pruning diff below then counts as changed — a
-	// spurious dirty mark, never a missed one.)
+	// existing keys are kept, so no Out_Table rescan is needed.
 	for _, ccs := range s.newComms {
 		for _, cc := range ccs {
-			s.remoteTot.Set(uint64(cc), 0)
+			s.comms.ref(cc)
 		}
 	}
 	if err := s.pullTotals(false); err != nil {
@@ -112,13 +115,12 @@ func (s *engine) markChangedComms() {
 		return
 	}
 	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
-		s.out[t].Range(func(key uint64, _ float64) bool {
+		for _, key := range s.out[t].keys {
 			u, cc := hashfn.Unpack32(key)
 			if _, ok := s.changedComms[cc]; ok {
 				s.dirty[s.part.LocalIndex(u)] = true
 			}
-			return true
-		})
+		}
 		for li := t; li < s.nLoc; li += s.opt.Threads {
 			if !s.active[li] {
 				continue
@@ -177,37 +179,33 @@ func (s *engine) deltaMerge(t int, r *wire.Reader) error {
 	return r.Err()
 }
 
-// pullTotals refreshes remoteTot and remoteMembers with the Σtot and
-// member count of every community that appears in the Out_Table or as an
-// owned vertex's current community.
+// pullTotals refreshes the community cache with the Σtot and member count
+// of every community that appears in the Out_Table or as an owned vertex's
+// current community.
 func (s *engine) pullTotals(rescan bool) error {
-	// The remoteTot table itself deduplicates the request set: every
-	// referenced community is inserted once with a zero placeholder,
-	// then overwritten by its owner's response. After a delta
-	// propagation that introduced no new (vertex, community) keys, the
-	// reference set is unchanged and the rescan is skipped — only the
-	// values are refreshed.
+	// The cache itself deduplicates the request set: every referenced
+	// community is entered once, then filled by its owner's response.
+	// After a delta propagation the reference set is only extended (by
+	// propagateDelta), so the rescan is skipped — only the values are
+	// refreshed.
 	if rescan {
-		s.remoteTot.Reset()
-		s.remoteMembers.Reset()
-		for t := 0; t < s.opt.Threads; t++ {
-			s.out[t].Range(func(key uint64, _ float64) bool {
+		s.comms.reset(len(s.comms.keys))
+		for _, o := range s.out {
+			for _, key := range o.keys {
 				_, cc := hashfn.Unpack32(key)
-				s.remoteTot.Set(uint64(cc), 0)
-				return true
-			})
+				s.comms.ref(cc)
+			}
 		}
 		for li := 0; li < s.nLoc; li++ {
 			if s.active[li] {
-				s.remoteTot.Set(uint64(s.commOf[li]), 0)
+				s.comms.ref(uint32(s.commOf[li]))
 			}
 		}
 	}
 	req := s.outPlanes()
-	s.remoteTot.Range(func(key uint64, _ float64) bool {
+	for _, key := range s.comms.keys {
 		req.To(s.part.Owner(graph.V(key))).PutU32(uint32(key))
-		return true
-	})
+	}
 	reqs, err := s.exchange(req)
 	if err != nil {
 		return err
@@ -243,19 +241,13 @@ func (s *engine) pullTotals(rescan bool) error {
 			if err := r.Err(); err != nil {
 				return err
 			}
-			if diff {
-				// Pruning: record communities whose totals moved since the
-				// last pull so markChangedComms can dirty their referrers.
-				// (No diffing after a rescan — the full propagation already
-				// set allDirty.)
-				oldTot, hadTot := s.remoteTot.Get(uint64(cc))
-				oldMem, hadMem := s.remoteMembers.Get(uint64(cc))
-				if !hadTot || !hadMem || oldTot != tot || oldMem != members {
-					s.changedComms[cc] = struct{}{}
-				}
+			// Pruning: record communities whose totals moved since the
+			// last pull so markChangedComms can dirty their referrers.
+			// (No diffing after a rescan — the full propagation already
+			// set allDirty.)
+			if s.comms.store(cc, tot, members) && diff {
+				s.changedComms[cc] = struct{}{}
 			}
-			s.remoteTot.Set(uint64(cc), tot)
-			s.remoteMembers.Set(uint64(cc), members)
 		}
 	}
 	wire.ReleasePlanes(resps)

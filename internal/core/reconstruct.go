@@ -16,12 +16,14 @@ import (
 // level's supergraph (Algorithm 5), and gathering the level's assignment
 // vector for result reporting.
 
-// loadLocal fills the In_Table from this rank's input edges. Self-loop
-// weights are doubled on insertion so that the degree of a vertex is simply
-// the sum of its in-entries (DESIGN.md §5); the doubling is consistent
-// across levels because graph reconstruction regenerates (c,c) entries
-// already doubled.
+// loadLocal builds the In_Table from this rank's input edges, each shard
+// sized up front for the edges it receives so loading never grows it.
+// Self-loop weights are doubled on insertion so that the degree of a
+// vertex is simply the sum of its in-entries (DESIGN.md §5); the doubling
+// is consistent across levels because graph reconstruction regenerates
+// (c,c) entries already doubled.
 func (s *engine) loadLocal(local graph.EdgeList) error {
+	perShard := make([]int, s.opt.Threads)
 	for _, e := range local {
 		if !s.part.Owns(e.V) {
 			return fmt.Errorf("core: rank %d given edge with dst %d owned by rank %d", s.part.Rank, e.V, s.part.Owner(e.V))
@@ -29,6 +31,20 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 		if int(e.V) >= s.n || int(e.U) >= s.n {
 			return fmt.Errorf("core: edge (%d,%d) outside vertex space %d", e.U, e.V, s.n)
 		}
+		perShard[s.shardOf(s.part.LocalIndex(e.V))]++
+	}
+	s.in = make([]*edgetable.Table, s.opt.Threads)
+	for t := range s.in {
+		s.in[t] = edgetable.New(edgetable.Config{
+			Hash:       s.opt.Hash,
+			Layout:     s.opt.TableLayout,
+			LoadFactor: s.opt.LoadFactor,
+			Capacity:   perShard[t],
+		})
+	}
+	s.sharded = edgetable.NewSharded(s.in...)
+	s.levelStore = s.sharded
+	for _, e := range local {
 		w := e.W
 		if e.U == e.V {
 			w *= 2
@@ -143,9 +159,6 @@ func (s *engine) reconstruct() error {
 	if err := s.scatter(s.opt.Threads, s.reconBuildFn, s.reconMergeFn); err != nil {
 		return err
 	}
-	for t := 0; t < s.opt.Threads; t++ {
-		s.out[t].Reset()
-	}
 	if debugBreakReconstruct && s.part.Rank == 0 {
 		// Negative-test hook: smuggle phantom edge weight into the rebuilt
 		// In_Table so the next level's total weight drifts — the invariant
@@ -160,22 +173,23 @@ func (s *engine) reconstruct() error {
 // destination supervertex.
 func (s *engine) reconstructBuild(_, lo, hi int, cw *wire.ChunkWriter) {
 	for ti := lo; ti < hi; ti++ {
-		s.out[ti].Range(func(key uint64, w float64) bool {
+		o := s.out[ti]
+		for i, key := range o.keys {
+			w := o.w[i]
 			if w == 0 {
-				return true // emptied by delta propagation
+				continue // emptied by delta propagation
 			}
 			u, cc := hashfn.Unpack32(key)
 			li := s.part.LocalIndex(u)
 			if !s.active[li] {
-				return true
+				continue
 			}
 			// src supervertex = comm[u]; dst supervertex cc is
 			// owned by the destination rank.
 			dst := s.part.Owner(graph.V(cc))
 			cw.To(dst).PutTriple(wire.Triple{A: uint32(s.commOf[li]), B: cc, W: w})
 			cw.Commit(dst)
-			return true
-		})
+		}
 	}
 }
 

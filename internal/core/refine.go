@@ -180,44 +180,41 @@ func (s *engine) findBest() {
 	}
 	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
 		// Baseline: the gain of re-joining the current community.
+		o := s.out[t]
 		for li := t; li < s.nLoc; li += s.opt.Threads {
 			if !s.active[li] || (prune && !s.dirty[li]) {
 				continue
 			}
 			c0 := s.commOf[li]
-			tot0, _ := s.remoteTot.Get(uint64(c0))
-			w0, _ := s.out[t].GetPair(uint32(s.part.GlobalID(li)), uint32(c0))
-			s.stay[li] = dq(w0-s.self2[li], tot0-s.k[li], s.k[li], s.m)
+			e0 := s.comms.get(uint32(c0))
+			w0, _ := o.GetPair(uint32(s.part.GlobalID(li)), uint32(c0))
+			s.stay[li] = dq(w0-s.self2[li], e0.tot-s.k[li], s.k[li], s.m)
+			s.alone[li] = e0.members == 1
 			s.bestGain[li] = 0
 			s.bestTo[li] = c0
 		}
-		s.out[t].Range(func(key uint64, w float64) bool {
+		for i, key := range o.keys {
 			u, cc := hashfn.Unpack32(key)
 			li := s.part.LocalIndex(u)
 			c0 := s.commOf[li]
 			if !s.active[li] || graph.V(cc) == c0 || (prune && !s.dirty[li]) {
-				return true
+				continue
 			}
+			e := s.comms.get(cc)
 			// Singleton minimum-label rule (Grappolo-style, the paper's
 			// ref [11]): when a vertex alone in its community targets
 			// another singleton community with a larger label, suppress
 			// the move. Without this, symmetric pairs swap communities
 			// forever and never merge.
-			if graph.V(cc) > c0 {
-				if mems, _ := s.remoteMembers.Get(uint64(c0)); mems == 1 {
-					if tmems, _ := s.remoteMembers.Get(uint64(cc)); tmems == 1 {
-						return true
-					}
-				}
+			if graph.V(cc) > c0 && s.alone[li] && e.members == 1 {
+				continue
 			}
-			tot, _ := s.remoteTot.Get(uint64(cc))
-			g := dq(w, tot, s.k[li], s.m) - s.stay[li]
+			g := dq(o.w[i], e.tot, s.k[li], s.m) - s.stay[li]
 			if g > s.bestGain[li] || (g == s.bestGain[li] && g > 0 && graph.V(cc) < s.bestTo[li]) {
 				s.bestGain[li] = g
 				s.bestTo[li] = graph.V(cc)
 			}
-			return true
-		})
+		}
 		if s.dirty != nil {
 			// Every vertex of this shard now holds a fresh result.
 			for li := t; li < s.nLoc; li += s.opt.Threads {
@@ -379,21 +376,21 @@ func (s *engine) computeQ() (float64, error) {
 		s.inOwn[i] = 0
 	}
 	p := s.outPlanes()
-	for t := 0; t < s.opt.Threads; t++ {
-		s.out[t].Range(func(key uint64, w float64) bool {
+	for _, o := range s.out {
+		for i, key := range o.keys {
+			w := o.w[i]
 			if w == 0 {
-				return true // emptied by delta propagation
+				continue // emptied by delta propagation
 			}
 			u, cc := hashfn.Unpack32(key)
 			li := s.part.LocalIndex(u)
 			if !s.active[li] || s.commOf[li] != graph.V(cc) {
-				return true
+				continue
 			}
 			b := p.To(s.part.Owner(graph.V(cc)))
 			b.PutU32(cc)
 			b.PutF64(w)
-			return true
-		})
+		}
 	}
 	in, err := s.exchange(p)
 	if err != nil {

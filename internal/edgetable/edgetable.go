@@ -1,9 +1,10 @@
 // Package edgetable implements the paper's hash-based edge storage
 // (Section IV-A): tables keyed by packed (t1,t2) tuples holding weighted
-// triples ((t1,t2),w), with accumulate-on-collision semantics. Both the
-// In_Table (in-edges, rebuilt once per outer loop) and the Out_Table
-// (edge→community aggregations, rebuilt every inner iteration) are
-// instances of Table.
+// triples ((t1,t2),w), with accumulate-on-collision semantics. The parallel
+// engine's In_Table (in-edges, rebuilt once per outer loop) is a set of
+// Table shards; its Out_Table (edge→community aggregations, rebuilt every
+// inner iteration) is a flat insertion-ordered array in internal/core
+// whose iteration order matches a probing Table's.
 //
 // Two physical layouts are provided:
 //
@@ -86,9 +87,8 @@ type Table struct {
 	slots uint64 // conceptual table size M
 
 	// Probing layout. occ journals the occupied slots in insertion
-	// order, making Range and Reset O(entries) instead of O(slots) —
-	// critical because the Out_Table is scanned and rebuilt every inner
-	// iteration at a load factor of 1/4.
+	// order, making Range and Reset O(entries) instead of O(slots) at a
+	// load factor of 1/4.
 	keys []uint64
 	vals []float64
 	occ  []uint64
@@ -410,7 +410,7 @@ func (t *Table) RangePartition(p int, fn func(key uint64, w float64) bool) {
 }
 
 // Reset empties the table, keeping its capacity. It implements the
-// "Reset In_Table / Reset Out_Table" steps of Algorithms 4 and 5.
+// "Reset In_Table" step of Algorithm 5.
 func (t *Table) Reset() {
 	t.alloc(t.slots)
 }

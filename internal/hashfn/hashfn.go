@@ -98,6 +98,13 @@ func Index(k Kind, x, m uint64) uint64 {
 	return hi
 }
 
+// FibonacciPow2 maps x into a power-of-two table of 2^(64-shift) slots
+// with Fibonacci hashing: the top bits of the Equation 6 product, equal to
+// Index(Fibonacci, x, 1<<(64-shift)) without the wide multiply.
+func FibonacciPow2(x uint64, shift uint) uint64 {
+	return (x * fibMult) >> shift
+}
+
 // Pack16 packs tuple (t1, t2) as (t1<<16)|t2, the literal Equation 5 of the
 // paper. It is only injective when t2 < 2^16 and t1 < 2^48; the parallel
 // Louvain implementation uses Pack32 instead, keeping Pack16 for the hash

@@ -198,3 +198,13 @@ func BenchmarkIndex(b *testing.B) {
 		})
 	}
 }
+
+func TestFibonacciPow2MatchesIndex(t *testing.T) {
+	f := func(x uint64, bitsRaw uint8) bool {
+		b := uint(bitsRaw%31) + 1
+		return FibonacciPow2(x, 64-b) == Index(Fibonacci, x, 1<<b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -641,3 +641,87 @@ func TestJobIDsSequential(t *testing.T) {
 		t.Error("state stringer empty")
 	}
 }
+
+// TestFinishedJobRetention runs more than retainFinished tiny jobs beside a
+// job that stays running: the oldest finished jobs are evicted (404 on every
+// id-scoped endpoint) and counted, the newest retainFinished stay, and the
+// running job is never evicted.
+func TestFinishedJobRetention(t *testing.T) {
+	const tiny = retainFinished + 44
+	s, srv := newTestServer(t, Config{Workers: 2, QueueDepth: tiny})
+	blocker := submit(t, srv, Spec{Gen: "ring:k=4,s=5", Algo: "test-block"}, http.StatusAccepted)
+	waitState(t, srv, blocker.ID, StateRunning)
+
+	ids := make([]string, tiny)
+	jobs := make([]*Job, tiny)
+	for i := range ids {
+		ids[i] = submit(t, srv, Spec{Gen: "ring:k=4,s=5"}, http.StatusAccepted).ID
+		j, ok := s.Get(ids[i])
+		if !ok {
+			t.Fatalf("job %s missing right after submit", ids[i])
+		}
+		jobs[i] = j
+	}
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %s did not finish", j.ID())
+		}
+	}
+	// Retirement runs just after the done channel closes; wait for the
+	// last one to be recorded.
+	evicted := s.Metrics().Counter("serve_jobs_evicted_total")
+	for deadline := time.Now().Add(5 * time.Second); evicted.Value() < tiny-retainFinished; {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve_jobs_evicted_total = %d, want %d", evicted.Value(), tiny-retainFinished)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if st := getStatus(t, srv, blocker.ID); st.State != StateRunning {
+		t.Errorf("running job state %s after evictions", st.State)
+	}
+	if got := len(s.Jobs()); got != retainFinished+1 {
+		t.Errorf("store lists %d jobs, want %d", got, retainFinished+1)
+	}
+	for _, j := range jobs {
+		if j.State() != StateDone {
+			t.Fatalf("job %s ended %s", j.ID(), j.State())
+		}
+	}
+	// The blocker holds one worker, so the other ran the tiny jobs one at a
+	// time and they finished in submission order.
+	for _, id := range ids[:tiny-retainFinished] {
+		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/result", "/jobs/" + id + "/events", "/jobs/" + id + "/metrics"} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s on an evicted job: %d, want 404", path, resp.StatusCode)
+			}
+		}
+	}
+	for _, id := range ids[tiny-retainFinished:] {
+		if st := getStatus(t, srv, id); st.State != StateDone {
+			t.Errorf("retained job %s state %s", id, st.State)
+		}
+	}
+
+	// Finishing the long-running job evicts one more finished job and keeps
+	// it as the newest.
+	cancelJob(t, srv, blocker.ID)
+	waitState(t, srv, blocker.ID, StateCancelled)
+	for deadline := time.Now().Add(5 * time.Second); evicted.Value() < tiny-retainFinished+1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve_jobs_evicted_total = %d after the cancel, want %d", evicted.Value(), tiny-retainFinished+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(s.Jobs()); got != retainFinished {
+		t.Errorf("store lists %d jobs, want %d", got, retainFinished)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,11 @@ var (
 	ErrNotFound = errors.New("serve: no such job")
 )
 
+// retainFinished bounds how many finished (done, failed or cancelled) jobs
+// a Store keeps. Past it the job that finished longest ago is evicted, and
+// a GET on its id answers 404. Queued and running jobs are never evicted.
+const retainFinished = 256
+
 // Config parameterizes a Store. The zero value is usable.
 type Config struct {
 	// Workers is the size of the worker pool — the number of jobs that run
@@ -39,8 +45,8 @@ type Config struct {
 }
 
 // Store owns the job table, the bounded FIFO queue, and the worker pool.
-// Jobs are kept in memory for the lifetime of the store; results of small
-// service deployments are bounded by the queue and client discipline.
+// Every queued and running job is kept in memory, plus the newest
+// retainFinished finished ones, so a long-lived store's heap stays bounded.
 type Store struct {
 	cfg     Config
 	reg     *obs.Registry
@@ -53,6 +59,8 @@ type Store struct {
 	seq    int
 	jobs   map[string]*Job
 	order  []*Job // submission order, for GET /jobs listings
+	// finished lists the retained finished jobs, oldest finish first.
+	finished []*Job
 
 	// service instruments
 	mSubmitted *obs.Counter
@@ -60,6 +68,7 @@ type Store struct {
 	mDone      *obs.Counter
 	mFailed    *obs.Counter
 	mCancelled *obs.Counter
+	mEvicted   *obs.Counter
 	gQueued    *obs.Gauge
 	gRunning   *obs.Gauge
 	hWait      *obs.Histogram
@@ -89,6 +98,7 @@ func NewStore(cfg Config) *Store {
 		mDone:      reg.Counter("serve_jobs_done_total"),
 		mFailed:    reg.Counter("serve_jobs_failed_total"),
 		mCancelled: reg.Counter("serve_jobs_cancelled_total"),
+		mEvicted:   reg.Counter("serve_jobs_evicted_total"),
 		gQueued:    reg.Gauge("serve_jobs_queued"),
 		gRunning:   reg.Gauge("serve_jobs_running"),
 		hWait:      reg.Histogram("serve_job_queue_wait_seconds", obs.LatencyBuckets),
@@ -96,6 +106,7 @@ func NewStore(cfg Config) *Store {
 	}
 	reg.SetHelp("serve_jobs_submitted_total", "jobs accepted into the queue")
 	reg.SetHelp("serve_jobs_rejected_total", "submissions rejected because the queue was full")
+	reg.SetHelp("serve_jobs_evicted_total", "finished jobs dropped beyond the retention bound (oldest finish first)")
 	reg.SetHelp("serve_jobs_queued", "jobs currently waiting for a worker")
 	reg.SetHelp("serve_jobs_running", "jobs currently executing")
 	for i := 0; i < cfg.Workers; i++ {
@@ -181,6 +192,7 @@ func (s *Store) Cancel(id string) (*Job, bool, error) {
 		j.mu.Unlock()
 		j.emitState(StateCancelled)
 		s.mCancelled.Inc()
+		s.retire(j)
 		return j, true, nil
 	case StateRunning:
 		cancel := j.cancel
@@ -223,6 +235,7 @@ func (s *Store) Shutdown(ctx context.Context) error {
 			j.mu.Unlock()
 			j.emitState(StateCancelled)
 			s.mCancelled.Inc()
+			s.retire(j)
 			continue
 		}
 		j.mu.Unlock()
@@ -318,4 +331,23 @@ func (s *Store) runJob(j *Job) {
 		s.mFailed.Inc()
 	}
 	j.emitState(final)
+	s.retire(j)
+}
+
+// retire records that j has finished and evicts the finished jobs beyond
+// the newest retainFinished, oldest first.
+func (s *Store) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j)
+	n := len(s.finished) - retainFinished
+	if n <= 0 {
+		return
+	}
+	for _, old := range s.finished[:n] {
+		delete(s.jobs, old.id)
+		s.mEvicted.Inc()
+	}
+	s.finished = slices.Delete(s.finished, 0, n)
+	s.order = slices.DeleteFunc(s.order, func(x *Job) bool { _, ok := s.jobs[x.id]; return !ok })
 }
