@@ -54,11 +54,15 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke -o /tmp/loadgen_smoke.json
 
 # Repository benchmark smoke (the CI bench-smoke step): the perfbench unit
-# tests, then one short untraced lfr-dist run, which must exit 0 and report
-# "correct":true. Full runs: see perfbench/README.md.
+# tests, then one short untraced run each of lfr-dist and rmat-shared, which
+# must exit 0 and report "correct":true. The rmat-shared check covers plm:
+# Threads=1 and Threads=2 give the same partition, and traced and untraced
+# runs agree. Full runs: see perfbench/README.md.
 bench-smoke:
 	cd perfbench && $(GO) test ./...
 	out="$$(bash perfbench/run.sh --workload lfr-dist --seed 1 --seconds 3 --trace 0)" && \
+		echo "$$out" && echo "$$out" | grep -q '"correct":true'
+	out="$$(bash perfbench/run.sh --workload rmat-shared --seed 1 --seconds 3 --trace 0)" && \
 		echo "$$out" && echo "$$out" | grep -q '"correct":true'
 
 # Run the exchange and level-storage benchmarks and fixed-seed end-to-end

@@ -117,8 +117,8 @@ func lnsLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, pops, mo
 	// full-graph-equivalents of pops per level.
 	maxPops := opt.MaxInner * n
 
-	w2c := make([]float64, n)
-	touched := make([]graph.V, 0, 64)
+	scr := newNbrScratch(n)
+	w2c := scr.w2c
 	for pops < maxPops {
 		ui, ok := queue.Pop()
 		if !ok {
@@ -134,26 +134,7 @@ func lnsLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, pops, mo
 		c0 := comm[u]
 		tot[c0] -= ku
 
-		touched = touched[:0]
-		w2c[c0] = 0
-		touched = append(touched, c0)
-		wg.Neighbors(u, func(v graph.V, w float64) bool {
-			c := comm[v]
-			if w2c[c] == 0 && c != c0 {
-				found := false
-				for _, t := range touched {
-					if t == c {
-						found = true
-						break
-					}
-				}
-				if !found {
-					touched = append(touched, c)
-				}
-			}
-			w2c[c] += w
-			return true
-		})
+		touched := accumulate(wg, u, comm, &scr)
 
 		stay := metrics.DeltaQ(w2c[c0], tot[c0], ku, wg.M)
 		bestC, bestGain := c0, stay
@@ -166,9 +147,7 @@ func lnsLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, pops, mo
 				bestC, bestGain = c, g
 			}
 		}
-		for _, c := range touched {
-			w2c[c] = 0
-		}
+		scr.clear()
 
 		if bestC != c0 && bestGain-stay > minMoveGain {
 			comm[u] = bestC

@@ -136,10 +136,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 
 	order := levelOrder(wg, opt, level)
 	sched := movesched.Greedy(n, order, func(u uint32, emit func(v uint32)) {
-		wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-			emit(uint32(v))
-			return true
-		})
+		for _, v := range wg.Nbr[wg.Off[u]:wg.Off[u+1]] {
+			emit(v)
+		}
 	})
 
 	threads := opt.Threads
@@ -149,17 +148,15 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 	if threads < 1 {
 		threads = 1
 	}
-	// Per-thread scratch for the decide phase: dense neighbor-community
-	// weights plus the touched list that clears them.
+	// Per-thread scratch for the decide phase: the neighbor-community scan
+	// state plus the thread's scan count.
 	type scratch struct {
-		w2c     []float64
-		touched []graph.V
-		scans   int
+		nbrScratch
+		scans int
 	}
 	scr := make([]scratch, threads)
 	for t := range scr {
-		scr[t].w2c = make([]float64, n)
-		scr[t].touched = make([]graph.V, 0, 64)
+		scr[t].nbrScratch = newNbrScratch(n)
 	}
 	// Decisions, indexed by vertex: the chosen community plus the
 	// neighbor-community weights the apply-phase gain re-check needs.
@@ -187,27 +184,8 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 						continue
 					}
 					s.scans++
-					touched := s.touched[:0]
+					touched := accumulate(wg, graph.V(u), comm, &s.nbrScratch)
 					w2c := s.w2c
-					w2c[c0] = 0
-					touched = append(touched, c0)
-					wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-						c := comm[v]
-						if w2c[c] == 0 && c != c0 {
-							found := false
-							for _, t := range touched {
-								if t == c {
-									found = true
-									break
-								}
-							}
-							if !found {
-								touched = append(touched, c)
-							}
-						}
-						w2c[c] += w
-						return true
-					})
 					stay := metrics.DeltaQ(w2c[c0], tot[c0]-ku, ku, wg.M)
 					bestC, bestGain := c0, stay
 					for _, c := range touched {
@@ -222,10 +200,7 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 					bestTo[u] = bestC
 					wStay[u] = w2c[c0]
 					wBest[u] = w2c[bestC]
-					for _, c := range touched {
-						w2c[c] = 0
-					}
-					s.touched = touched
+					s.clear()
 				}
 			})
 			// Apply: serial, in schedule order. Same-color vertices are
@@ -251,10 +226,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 					// The pruning rule: the mover and its neighborhood are
 					// the only vertices whose best choice may have changed.
 					active.MarkNext(u)
-					wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-						active.MarkNext(uint32(v))
-						return true
-					})
+					for _, v := range wg.Nbr[wg.Off[u]:wg.Off[u+1]] {
+						active.MarkNext(v)
+					}
 				}
 			}
 		}

@@ -107,9 +107,9 @@ func sweepLevel(wg *graph.Graph, opt Options, level int) ([]graph.V, []int) {
 	}
 	order := levelOrder(wg, opt, level)
 
-	// Scratch for neighbor-community weights: dense array + touched list.
-	w2c := make([]float64, n)
-	touched := make([]graph.V, 0, 64)
+	// Scratch for neighbor-community weights (see accumulate).
+	scr := newNbrScratch(n)
+	w2c := scr.w2c
 
 	var movesPerIter []int
 	for iter := 1; iter <= opt.MaxInner; iter++ {
@@ -126,26 +126,7 @@ func sweepLevel(wg *graph.Graph, opt Options, level int) ([]graph.V, []int) {
 			tot[c0] -= ku
 
 			// Accumulate w_{u->c} over neighbor communities.
-			touched = touched[:0]
-			w2c[c0] = 0
-			touched = append(touched, c0)
-			wg.Neighbors(u, func(v graph.V, w float64) bool {
-				c := comm[v]
-				if w2c[c] == 0 && c != c0 {
-					found := false
-					for _, t := range touched {
-						if t == c {
-							found = true
-							break
-						}
-					}
-					if !found {
-						touched = append(touched, c)
-					}
-				}
-				w2c[c] += w
-				return true
-			})
+			touched := accumulate(wg, u, comm, &scr)
 
 			stay := metrics.DeltaQ(w2c[c0], tot[c0], ku, wg.M)
 			bestC, bestGain := c0, stay
@@ -158,9 +139,7 @@ func sweepLevel(wg *graph.Graph, opt Options, level int) ([]graph.V, []int) {
 					bestC, bestGain = c, g
 				}
 			}
-			for _, c := range touched {
-				w2c[c] = 0
-			}
+			scr.clear()
 
 			if bestC != c0 && bestGain-stay > minMoveGain {
 				comm[u] = bestC

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -108,6 +111,100 @@ func FuzzReadPartition(f *testing.F) {
 			if back[i] != assign[i] {
 				t.Fatalf("round trip changed assign[%d]", i)
 			}
+		}
+	})
+}
+
+// canonicalizeRef is the specification Canonicalize must meet bit for bit:
+// orient U <= V, stable-sort by (U, V), and sum each run of duplicates
+// left to right, i.e. in input order.
+func canonicalizeRef(el EdgeList) EdgeList {
+	out := make(EdgeList, 0, len(el))
+	for _, e := range el {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		out = append(out, e)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].U != out[j].U {
+			return out[i].U < out[j].U
+		}
+		return out[i].V < out[j].V
+	})
+	merged := out[:0]
+	for _, e := range out {
+		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
+			merged[n-1].W += e.W
+			continue
+		}
+		merged = append(merged, e)
+	}
+	return merged
+}
+
+// fuzzEdges decodes 3-byte records into edges over a small id space, so
+// duplicates (in both orientations) and self-loops are common, with
+// fractional weights whose float sum depends on the summation order.
+func fuzzEdges(data []byte) EdgeList {
+	el := make(EdgeList, 0, len(data)/3)
+	for i := 0; i+3 <= len(data); i += 3 {
+		el = append(el, Edge{
+			U: V(data[i] % 24),
+			V: V(data[i+1] % 24),
+			W: float64(data[i+2]) / 7.3,
+		})
+	}
+	return el
+}
+
+func FuzzCanonicalize(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 1, 7, 1, 5, 3, 3, 3, 1})
+	f.Add([]byte{0, 0, 0, 2, 1, 9, 1, 2, 10, 2, 1, 11, 1, 2, 12})
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 8; trial++ {
+		b := make([]byte, 3*(1+rng.Intn(400)))
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		el := fuzzEdges(data)
+		in := append(EdgeList(nil), el...)
+		got := el.Canonicalize()
+		for i := range el {
+			if el[i] != in[i] {
+				t.Fatalf("input modified at %d: %v -> %v", i, in[i], el[i])
+			}
+		}
+		want := canonicalizeRef(in)
+		if len(got) != len(want) {
+			t.Fatalf("len %d, want %d", len(got), len(want))
+		}
+		sumIn, sumOut, absIn := 0.0, 0.0, 0.0
+		for _, e := range in {
+			sumIn += e.W
+			absIn += math.Abs(e.W)
+		}
+		for i, e := range got {
+			w := want[i]
+			if e.U != w.U || e.V != w.V || math.Float64bits(e.W) != math.Float64bits(w.W) {
+				t.Fatalf("edge %d: %v (w bits %x), want %v (w bits %x)",
+					i, e, math.Float64bits(e.W), w, math.Float64bits(w.W))
+			}
+			if e.U > e.V {
+				t.Fatalf("edge %d not oriented: %v", i, e)
+			}
+			if i > 0 {
+				p := got[i-1]
+				if p.U > e.U || (p.U == e.U && p.V >= e.V) {
+					t.Fatalf("edges %d,%d out of order or duplicated: %v %v", i-1, i, p, e)
+				}
+			}
+			sumOut += e.W
+		}
+		if math.Abs(sumIn-sumOut) > 1e-12*absIn {
+			t.Fatalf("total weight %v, want %v", sumOut, sumIn)
 		}
 	})
 }

@@ -9,7 +9,7 @@
 //     following the standard Louvain convention, so that 2m = Σ_u k(u).
 package graph
 
-import "sort"
+import "slices"
 
 // V is a vertex identifier. All experiments in this repository use graphs
 // with fewer than 2^32 vertices; ids are packed in pairs into uint64 hash
@@ -59,26 +59,64 @@ func (el EdgeList) TotalWeight() float64 {
 }
 
 // Canonicalize returns a copy with every edge oriented U <= V, duplicates
-// merged by summing weights, and edges sorted. It is used by generators to
-// produce simple weighted graphs and by tests to compare edge sets.
+// merged by summing weights, and edges sorted by (U, V). It is used by Build
+// and by tests to compare edge sets.
+//
+// Duplicates merge in input order: the merged weight is the left-to-right
+// float sum of the duplicates' weights as they appear in el, so the result
+// is a function of the list alone. The sort is stable: a counting sort by U
+// (O(m + n) for m edges over n = MaxVertex+1 ids; like Build's arrays, its
+// counters span the id space), then a sort of each row by V on packed
+// integer keys.
 func (el EdgeList) Canonicalize() EdgeList {
-	out := make(EdgeList, 0, len(el))
+	return el.canonicalize(el.NumVertices())
+}
+
+// canonicalize is Canonicalize over ids below n.
+func (el EdgeList) canonicalize(n int) EdgeList {
+	// next[u] starts as the first slot of row u and advances as the row
+	// fills, ending at the row's end (the next row's start).
+	next := make([]int, n+1)
+	for _, e := range el {
+		next[min(e.U, e.V)+1]++
+	}
+	for u := 1; u <= n; u++ {
+		next[u] += next[u-1]
+	}
+	out := make(EdgeList, len(el))
 	for _, e := range el {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		out = append(out, e)
+		out[next[e.U]] = e
+		next[e.U]++
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	// Each row is in input order; sort it by V with the position in the
+	// row as the tie-break, packed as V<<32 | pos. Positions fit 32 bits: a
+	// row of 2^32 edges would need a 64 GiB list.
+	var keys []uint64
+	var row0 EdgeList
+	lo := 0
+	for u := 0; u < n; u++ {
+		row := out[lo:next[u]]
+		lo = next[u]
+		if len(row) < 2 {
+			continue
 		}
-		return out[i].V < out[j].V
-	})
+		keys = keys[:0]
+		for i, e := range row {
+			keys = append(keys, uint64(e.V)<<32|uint64(i))
+		}
+		slices.Sort(keys)
+		row0 = append(row0[:0], row...)
+		for i, k := range keys {
+			row[i] = row0[uint32(k)]
+		}
+	}
 	merged := out[:0]
 	for _, e := range out {
-		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
-			merged[n-1].W += e.W
+		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
+			merged[k-1].W += e.W
 			continue
 		}
 		merged = append(merged, e)
@@ -111,12 +149,13 @@ type Graph struct {
 }
 
 // Build constructs a Graph from an edge list. n is the number of vertices;
-// pass 0 to infer it as MaxVertex()+1. Duplicate edges are merged by weight.
+// pass 0 to infer it as MaxVertex()+1. Duplicate edges are merged by weight,
+// summed in input order (see Canonicalize).
 func Build(el EdgeList, n int) *Graph {
 	if n <= 0 {
 		n = el.NumVertices()
 	}
-	can := el.Canonicalize()
+	can := el.canonicalize(n)
 	g := &Graph{
 		N:     n,
 		Off:   make([]int64, n+1),

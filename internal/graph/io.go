@@ -124,7 +124,10 @@ func ReadBinary(r io.Reader) (EdgeList, error) {
 	if n > maxEdges {
 		return nil, fmt.Errorf("%w: implausible edge count %d", ErrBadFormat, n)
 	}
-	el := make(EdgeList, 0, n)
+	// The header count is untrusted: pre-size for at most 64Ki records and
+	// let append grow the list as edges actually arrive, so a hostile count
+	// cannot allocate beyond what the input holds.
+	el := make(EdgeList, 0, min(n, 1<<16))
 	var rec [16]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"parlouvain/internal/graph"
 )
@@ -120,14 +121,24 @@ func (c *Contingency) NMI() float64 {
 	if ha+hb == 0 {
 		return 1 // both trivial single-cluster partitions
 	}
+	// Reduce in sorted cell order: map iteration order is randomized, and
+	// the same pair of partitions must always give the same NMI bits. The
+	// three logs are taken separately, not of the quotient, so that for
+	// identical partitions each cell's term equals its entropyTerm bit for
+	// bit and the sums agree in order: mi == ha == hb and NMI is exactly 1.
+	keys := make([]uint64, 0, len(c.Cells))
+	for key := range c.Cells {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
 	mi := 0.0
-	for key, cnt := range c.Cells {
+	for _, key := range keys {
 		ri := int(key >> 32)
 		ci := int(uint32(key))
-		pij := float64(cnt) / n
+		pij := float64(c.Cells[key]) / n
 		pi := float64(c.RowSz[ri]) / n
 		pj := float64(c.ColSz[ci]) / n
-		mi += pij * math.Log(pij/(pi*pj))
+		mi += pij * (math.Log(pij) - math.Log(pi) - math.Log(pj))
 	}
 	return 2 * mi / (ha + hb)
 }

@@ -129,3 +129,57 @@ func FuzzNMISymmetry(f *testing.F) {
 		}
 	})
 }
+
+// TestNMIDeterministic: NMI must reduce its cells in a fixed order, so
+// repeated calls on one contingency table give the same bits even though
+// Go randomizes map iteration.
+func TestNMIDeterministic(t *testing.T) {
+	const n = 4000
+	a := make([]graph.V, n)
+	b := make([]graph.V, n)
+	x := uint64(12345)
+	for i := range a {
+		x = x*6364136223846793005 + 1442695040888963407
+		a[i] = graph.V(x>>33) % 97
+		b[i] = (a[i]*7 + graph.V(x>>50)%5) % 61
+	}
+	c, err := NewContingency(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Cells) < 100 {
+		t.Fatalf("only %d cells; the test needs many to expose order effects", len(c.Cells))
+	}
+	want := math.Float64bits(c.NMI())
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(c.NMI()); got != want {
+			t.Fatalf("call %d: NMI bits %x, want %x", i, got, want)
+		}
+	}
+}
+
+// TestNMIIdenticalIsExactlyOne: two labelings of one partition must score
+// exactly 1, not 1 ± a few ulp, for skewed community sizes over a sweep of
+// element and community counts.
+func TestNMIIdenticalIsExactlyOne(t *testing.T) {
+	for _, n := range []int{1000, 5000, 65536} {
+		for k := graph.V(2); k < 3000; k = k*3/2 + 1 {
+			a := make([]graph.V, n)
+			b := make([]graph.V, n)
+			x := uint64(k) + uint64(n)
+			for i := range a {
+				x = x*6364136223846793005 + 1442695040888963407
+				r := graph.V(x >> 33)
+				a[i] = (r % k) * (r%3 + 1) % k
+				b[i] = a[i]*31 + 5 // a relabeling
+			}
+			c, err := NewContingency(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.NMI(); got != 1 {
+				t.Errorf("n=%d k=%d: NMI of identical partitions = %v, want exactly 1", n, k, got)
+			}
+		}
+	}
+}

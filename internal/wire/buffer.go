@@ -107,15 +107,35 @@ func (r *Reader) More() bool { return r.err == nil && r.off < len(r.b) }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
+// need reports whether n more bytes can be read, latching a short-plane
+// error if not. It compares against the remaining count rather than adding
+// to the offset, so no n can overflow the check.
 func (r *Reader) need(n int) bool {
 	if r.err != nil {
 		return false
 	}
-	if r.off+n > len(r.b) {
+	if n > r.Remaining() {
 		r.err = fmt.Errorf("wire: short plane: need %d bytes at offset %d of %d", n, r.off, len(r.b))
 		return false
 	}
 	return true
+}
+
+// vecLen decodes the element count of a length-prefixed sequence whose
+// elements take at least size bytes each, and latches an error unless that
+// many elements fit in the remaining bytes. The count is bounded by
+// division, never multiplied, so a hostile 64-bit length can neither
+// overflow the check nor drive an allocation or loop larger than the plane.
+func (r *Reader) vecLen(what string, size int) (int, bool) {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0, false
+	}
+	if n > uint64(r.Remaining()/size) {
+		r.err = fmt.Errorf("wire: implausible %s count %d for %d remaining bytes", what, n, r.Remaining())
+		return 0, false
+	}
+	return int(n), true
 }
 
 // U32 decodes a fixed-width uint32 (0 after an error).
@@ -167,12 +187,11 @@ func (r *Reader) Bytes(n int) []byte {
 
 // String decodes a length-prefixed string ("" after an error).
 func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.need(int(n)) // latch a short-plane error
+	n, ok := r.vecLen("string", 1)
+	if !ok {
 		return ""
 	}
-	return string(r.Bytes(int(n)))
+	return string(r.Bytes(n))
 }
 
 // Uvarint decodes an unsigned LEB128 varint (0 after an error).

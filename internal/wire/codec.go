@@ -51,11 +51,11 @@ func (b *Buffer) PutU32s(xs []uint32) {
 // U32s decodes a length-prefixed uint32 vector into dst (reused when large
 // enough), returning the filled slice (nil after an error).
 func (r *Reader) U32s(dst []uint32) []uint32 {
-	n := r.Uvarint()
-	if r.err != nil || !r.need(4*int(n)) {
+	n, ok := r.vecLen("u32 vector", 4)
+	if !ok {
 		return nil
 	}
-	dst = growU32(dst, int(n))
+	dst = growU32(dst, n)
 	for i := range dst {
 		dst[i] = r.U32()
 	}
@@ -73,11 +73,11 @@ func (b *Buffer) PutU64s(xs []uint64) {
 
 // U64s decodes a length-prefixed uint64 vector into dst.
 func (r *Reader) U64s(dst []uint64) []uint64 {
-	n := r.Uvarint()
-	if r.err != nil || !r.need(8*int(n)) {
+	n, ok := r.vecLen("u64 vector", 8)
+	if !ok {
 		return nil
 	}
-	if cap(dst) >= int(n) {
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]uint64, n)
@@ -99,11 +99,11 @@ func (b *Buffer) PutF64s(xs []float64) {
 
 // F64s decodes a length-prefixed float64 vector into dst.
 func (r *Reader) F64s(dst []float64) []float64 {
-	n := r.Uvarint()
-	if r.err != nil || !r.need(8*int(n)) {
+	n, ok := r.vecLen("f64 vector", 8)
+	if !ok {
 		return nil
 	}
-	if cap(dst) >= int(n) {
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float64, n)
@@ -137,15 +137,11 @@ func (b *Buffer) PutAssign(xs []uint32) {
 // Assign decodes an assignment plane into dst (reused when large enough),
 // returning the filled slice (nil after an error).
 func (r *Reader) Assign(dst []uint32) []uint32 {
-	n := r.Uvarint()
-	if r.err != nil {
+	n, ok := r.vecLen("assignment", 1) // every delta takes >= 1 byte
+	if !ok {
 		return nil
 	}
-	if int(n) > r.Remaining() { // every delta takes >= 1 byte
-		r.need(int(n)) // latch a short-plane error
-		return nil
-	}
-	dst = growU32(dst, int(n))
+	dst = growU32(dst, n)
 	prev := int64(0)
 	for i := range dst {
 		v := prev + unzigzag(r.Uvarint())

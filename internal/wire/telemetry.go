@@ -119,7 +119,8 @@ func (r *Reader) TelemetryBatch() (*TelemetryBatch, error) {
 	if fb := r.Bytes(1); len(fb) == 1 {
 		t.Final = fb[0] != 0
 	}
-	nm := r.count("metrics", 2)
+	// A bad count latches r.err, which ends the loops below.
+	nm, _ := r.vecLen("metrics", 2)
 	for i := 0; i < nm && r.err == nil; i++ {
 		var m MetricRec
 		m.Name = r.String()
@@ -144,7 +145,7 @@ func (r *Reader) TelemetryBatch() (*TelemetryBatch, error) {
 		}
 		t.Metrics = append(t.Metrics, m)
 	}
-	ne := r.count("events", 8)
+	ne, _ := r.vecLen("events", 8)
 	for i := 0; i < ne && r.err == nil; i++ {
 		var e EventRec
 		e.Name = r.String()
@@ -153,7 +154,7 @@ func (r *Reader) TelemetryBatch() (*TelemetryBatch, error) {
 		e.Iter = int32(r.u32Capped("event iter"))
 		e.TS = int64(r.U64())
 		e.Dur = int64(r.U64())
-		nf := r.count("event fields", 9)
+		nf, _ := r.vecLen("event fields", 9)
 		for j := 0; j < nf && r.err == nil; j++ {
 			e.FieldKeys = append(e.FieldKeys, r.String())
 			e.FieldVals = append(e.FieldVals, r.F64())
@@ -174,19 +175,4 @@ func (r *Reader) u32Capped(what string) uint32 {
 		return 0
 	}
 	return uint32(v)
-}
-
-// count decodes an element count and rejects values that could not possibly
-// fit in the remaining bytes (each element takes at least minBytes), so a
-// corrupted length cannot drive an attacker-sized allocation loop.
-func (r *Reader) count(what string, minBytes int) int {
-	n := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n*uint64(minBytes) > uint64(r.Remaining()) {
-		r.err = fmt.Errorf("wire: implausible %s count %d for %d remaining bytes", what, n, r.Remaining())
-		return 0
-	}
-	return int(n)
 }

@@ -222,6 +222,31 @@ func TestAssignTruncatedPlane(t *testing.T) {
 	}
 }
 
+// TestVectorDecodersRejectHugeLengths: a length prefix whose byte size
+// overflows int (n*4 or n*8 wrapping negative or small) must latch a
+// short-plane error in every length-prefixed decoder, never pass the bounds
+// check and reach make.
+func TestVectorDecodersRejectHugeLengths(t *testing.T) {
+	decoders := map[string]func(r *Reader) bool{
+		"U32s":   func(r *Reader) bool { return r.U32s(nil) == nil },
+		"U64s":   func(r *Reader) bool { return r.U64s(nil) == nil },
+		"F64s":   func(r *Reader) bool { return r.F64s(nil) == nil },
+		"Assign": func(r *Reader) bool { return r.Assign(nil) == nil },
+		"String": func(r *Reader) bool { return r.String() == "" },
+	}
+	for name, decode := range decoders {
+		for _, n := range []uint64{1 << 62, 1<<63 + 1, 1<<64 - 1, 1 << 40} {
+			var b Buffer
+			b.PutUvarint(n)
+			b.PutU64(0) // a few real bytes after the prefix
+			r := NewReader(b.Bytes())
+			if !decode(r) || r.Err() == nil {
+				t.Errorf("%s with length %d: decoded a value or latched no error", name, n)
+			}
+		}
+	}
+}
+
 func TestPlanesPoolRoundTrip(t *testing.T) {
 	p := GetPlanes(3)
 	if p.Size() != 3 {
